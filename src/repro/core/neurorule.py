@@ -17,7 +17,7 @@ network, pruned network, clustering, rule sets) are available as attributes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
@@ -47,6 +47,9 @@ class NeuroRuleConfig:
     accuracy are dropped (most specific first).  It is off by default because
     it can discard legitimate low-coverage rules; it is useful on noisy data
     where the network fits a few spurious patterns.
+
+    A splitter whose trainer has no seed takes ``trainer.seed``, so a seeded
+    configuration replays end to end, subnetworks included.
     """
 
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
@@ -55,6 +58,14 @@ class NeuroRuleConfig:
     splitter: Optional[SplitterConfig] = field(default_factory=SplitterConfig)
     prune_network: bool = True
     prune_redundant_rules: bool = False
+
+    def __post_init__(self) -> None:
+        if self.splitter is not None and self.splitter.trainer.seed is None:
+            # Replaced, not mutated: the caller may share the splitter config.
+            self.splitter = replace(
+                self.splitter,
+                trainer=replace(self.splitter.trainer, seed=self.trainer.seed),
+            )
 
     @classmethod
     def fast(cls, n_hidden: int = 3, seed: Optional[int] = None) -> "NeuroRuleConfig":

@@ -33,9 +33,11 @@ from repro.rules.covering import Conjunction
 
 @dataclass
 class SplitterConfig:
-    """Configuration of the subnetwork used to describe one hidden unit."""
+    """Configuration of the subnetwork used to describe one hidden unit.
 
-    n_hidden: int = 3
+    The subnetwork's width is ``trainer.n_hidden``.
+    """
+
     fidelity_threshold: float = 0.9
     max_depth: int = 2
     trainer: TrainerConfig = field(default_factory=lambda: TrainerConfig(n_hidden=3))

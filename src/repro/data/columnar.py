@@ -1,31 +1,45 @@
-"""Columnar dataset storage: one NumPy array per attribute.
+"""Columnar datasets: one NumPy array per attribute, labels as class codes.
 
-:class:`ColumnarDataset` is the columnar counterpart of
-:class:`~repro.data.dataset.Dataset`: the same schema/records/labels contract,
-but backed by per-attribute NumPy arrays instead of a Python list of dicts.
-It is what the vectorised Agrawal generator produces and what the encoder's
-batch path consumes — multi-million-tuple workloads never build a per-record
-dict unless something genuinely record-oriented (C4.5 tree induction, JSON
-export of single tuples) asks for one.
+:class:`ColumnarDataset` is the library's one columnar batch type.  It is a
+:class:`~repro.data.dataset.Dataset` — training, rule extraction, the
+baselines and the metrics take it as is — and it is what every pipeline
+stage hands to the next: the vectorised Agrawal generator produces it, the
+encoder's batch path and the compiled rule evaluators read its columns, the
+serving layer attaches predicted label codes to it and the tuple store loads
+and streams it.  Multi-million-tuple workloads never build a per-record dict
+unless something genuinely record-oriented (C4.5 tree induction, JSON export
+of single tuples) asks for one.
 
 Design notes
 ------------
-* ``ColumnarDataset`` subclasses ``Dataset`` so every ``isinstance(x,
-  Dataset)`` call site keeps working; ``records`` and ``labels`` become lazy
-  properties that materialise (and cache) plain-Python structures on first
-  access.  Materialised records carry Python scalars (``int``/``float``/
-  ``str``), so they compare equal to scalar-generated records and serialise
-  straight to JSON.
-* ``subset`` with a ``range``/``slice`` of step 1 returns zero-copy column
-  *views* — the nested Table-3 prefix test sets of
-  :mod:`repro.experiments.function4` share the parent's memory.
+* **Read-only columns.**  Columns are stored as non-writeable views of the
+  arrays passed in (no copies; the caller's arrays stay writeable).  An
+  optional ``owner`` — e.g. the shared-memory segment of
+  :func:`repro.data.chunks.chunk_from_shared` — is kept alive as long as the
+  dataset and every view taken from it.
+* **Labels are int64 codes** into a ``classes`` tuple (``schema.classes``
+  unless given).  String labels passed to the constructor are converted
+  once, and an unknown label raises :class:`SchemaError` right there.
+  Strings materialise only for the consumers that ask (``labels``,
+  ``label_array``).  Labels are optional: an unlabelled dataset is the input
+  of a classification job.
+* ``records`` and ``labels`` are lazy properties that materialise (and
+  cache) plain-Python structures on first access.  Materialised records
+  carry Python scalars (``int``/``float``/``str``), so they compare equal to
+  scalar-generated records and serialise straight to JSON.
+* **Zero-copy views.**  :meth:`~ColumnarDataset.slice`,
+  :meth:`~ColumnarDataset.iter_chunks`,
+  :meth:`~ColumnarDataset.with_label_codes`,
+  :meth:`~ColumnarDataset.without_labels` and ``subset`` with a
+  ``range``/``slice`` of step 1 share the parent's buffers — the nested
+  Table-3 prefix test sets of :mod:`repro.experiments.function4` included.
 * Integer-valued attributes keep an integer dtype (the schema's ``integer``
-  flag and categorical int domains drive this), fixing the float/int
-  inconsistency of the old per-record generator.
+  flag and categorical int domains drive this).
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -35,6 +49,35 @@ from repro.data.schema import AttributeValue, Schema
 from repro.exceptions import DataGenerationError, SchemaError
 
 Indices = Union[Sequence[int], range, slice, np.ndarray]
+
+#: dtype of label-code arrays: usable directly as NumPy fancy indexes.
+LABEL_CODE_DTYPE = np.int64
+
+
+def codes_from_labels(
+    labels: Union[np.ndarray, Sequence[str]], classes: Sequence[str]
+) -> np.ndarray:
+    """Vectorised label-string → class-index conversion.
+
+    Raises :class:`SchemaError` on a label outside ``classes`` — a silent
+    ``-1`` would alias the last class through fancy indexing.
+    """
+    values = np.asarray(labels)
+    codes = np.full(len(values), -1, dtype=LABEL_CODE_DTYPE)
+    for index, label in enumerate(classes):
+        codes[values == label] = index
+    if len(values) and codes.min() < 0:
+        index = int(np.argmax(codes < 0))
+        bad = values[index : index + 1].tolist()[0]
+        raise SchemaError(f"unknown class label {bad!r}; known: {list(classes)}")
+    return codes
+
+
+def _readonly_view(array: np.ndarray) -> np.ndarray:
+    """A non-writeable view of ``array`` (the caller's array is untouched)."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def _as_slice(indices: Indices) -> Optional[slice]:
@@ -57,7 +100,7 @@ def _as_slice(indices: Indices) -> Optional[slice]:
 
 
 class ColumnarDataset(Dataset):
-    """A labelled dataset stored as per-attribute column arrays.
+    """A (possibly unlabelled) dataset stored as per-attribute column arrays.
 
     Parameters
     ----------
@@ -66,24 +109,40 @@ class ColumnarDataset(Dataset):
     columns:
         Mapping from attribute name to an equal-length 1-D array (anything
         ``np.asarray`` accepts).  Every schema attribute must be present.
+        Arrays are wrapped in read-only views; no copies are made.
     labels:
-        Class label per row: an array or sequence of strings.
+        Class label per row — strings from ``classes``, or their integer
+        codes (indices into ``classes``) — or ``None`` for an unlabelled
+        dataset.  Either way they are stored as an int64 code array.
     validate:
         When ``True``, vectorised range/domain checks run over every column
-        (the columnar analogue of ``Schema.validate_record``).
+        (the columnar analogue of ``Schema.validate_record``).  Labels are
+        always checked.
+    classes:
+        The class vocabulary the label codes index; defaults to
+        ``schema.classes``.
+    owner:
+        Optional object kept alive as long as this dataset (and every view
+        taken from it) is — the shared-memory segment or any other buffer
+        owner backing the column arrays.
     """
 
     def __init__(
         self,
         schema: Schema,
         columns: Mapping[str, Union[np.ndarray, Sequence[AttributeValue]]],
-        labels: Union[np.ndarray, Sequence[str]],
+        labels: Optional[Union[np.ndarray, Sequence[str]]] = None,
         validate: bool = True,
+        classes: Optional[Sequence[str]] = None,
+        owner: object = None,
     ) -> None:
         # Deliberately no super().__init__(): records/labels are lazy
         # properties here, not stored fields.
         self.schema = schema
         self.validate = validate
+        self.classes: Tuple[str, ...] = tuple(
+            schema.classes if classes is None else classes
+        )
         missing = [a.name for a in schema.attributes if a.name not in columns]
         if missing:
             raise SchemaError(f"columns missing for attributes: {missing}")
@@ -105,31 +164,35 @@ class ColumnarDataset(Dataset):
                     f"column {attribute.name!r} has length {column.shape[0]}, "
                     f"expected {n}"
                 )
-            self._columns[attribute.name] = column
-        label_array = np.asarray(labels)
-        if label_array.ndim != 1 or (n is not None and label_array.shape[0] != n):
-            raise SchemaError(
-                f"labels have shape {label_array.shape}, expected ({n},)"
-            )
-        self._label_values = label_array
+            self._columns[attribute.name] = _readonly_view(column)
         self._n = int(n if n is not None else 0)
+        self._codes: Optional[np.ndarray] = (
+            None if labels is None else _readonly_view(self._codes_from(labels))
+        )
+        self._owner = owner
         self._records_cache: Optional[List[Record]] = None
         self._labels_cache: Optional[List[str]] = None
+        self._strings_cache: Optional[np.ndarray] = None
         self._label_array = None  # mirrors the Dataset field used by label_indices
         if validate:
             self._validate_columns()
 
     # -- validation --------------------------------------------------------
 
-    def _check_labels(self, labels: np.ndarray) -> None:
-        """Raise :class:`SchemaError` when any label is outside the classes."""
-        outside = ~np.isin(labels, np.asarray(self.schema.classes))
-        if outside.any():
-            index = int(np.argmax(outside))
+    def _codes_from(self, labels: Union[np.ndarray, Sequence[str]]) -> np.ndarray:
+        """``labels`` (strings or integer codes) as checked int64 codes."""
+        values = np.asarray(labels)
+        if values.ndim != 1 or values.shape[0] != self._n:
             raise SchemaError(
-                f"unknown class label {labels[index]!r}; "
-                f"known: {list(self.schema.classes)}"
+                f"labels have shape {values.shape}, expected ({self._n},)"
             )
+        if values.dtype.kind not in "iu":
+            return codes_from_labels(values, self.classes)
+        if self._n and (
+            int(values.min()) < 0 or int(values.max()) >= len(self.classes)
+        ):
+            raise SchemaError(f"label codes must index classes {list(self.classes)}")
+        return values.astype(LABEL_CODE_DTYPE, copy=False)
 
     def _validate_columns(self) -> None:
         """Vectorised schema validation over whole columns."""
@@ -166,17 +229,16 @@ class ColumnarDataset(Dataset):
                         f"attribute {attribute.name!r}: value "
                         f"{column[index]!r} not in domain {attribute.values!r}"
                     )
-        self._check_labels(self._label_values)
 
     # -- columnar access ---------------------------------------------------
 
     @property
     def columns(self) -> Dict[str, np.ndarray]:
-        """The stored column arrays, keyed by attribute name (do not mutate)."""
+        """The read-only column arrays, keyed by attribute name."""
         return self._columns
 
     def column(self, name: str) -> np.ndarray:
-        """The stored array for attribute ``name`` (zero-copy)."""
+        """The stored array for attribute ``name`` (zero-copy, read-only)."""
         try:
             return self._columns[name]
         except KeyError as exc:
@@ -192,9 +254,57 @@ class ColumnarDataset(Dataset):
         """
         return self.column(name).tolist()
 
+    # -- labels ------------------------------------------------------------
+
+    @property
+    def is_labelled(self) -> bool:
+        return self._codes is not None
+
+    @property
+    def label_codes(self) -> np.ndarray:
+        """The int64 codes indexing :attr:`classes` (raises if unlabelled)."""
+        if self._codes is None:
+            raise SchemaError("dataset carries no labels")
+        return self._codes
+
     def label_array(self) -> np.ndarray:
-        """The stored label array (zero-copy)."""
-        return self._label_values
+        """Labels as an ``object``-dtype string array (cached)."""
+        if self._strings_cache is None:
+            vocabulary = np.empty(len(self.classes), dtype=object)
+            vocabulary[:] = self.classes
+            self._strings_cache = vocabulary[self.label_codes]
+        return self._strings_cache
+
+    @property
+    def labels(self) -> List[str]:  # type: ignore[override]
+        """Labels as a plain list, materialised lazily on first access."""
+        if self._labels_cache is None:
+            self._labels_cache = self.label_array().tolist()
+        return self._labels_cache
+
+    def label_indices(self) -> np.ndarray:
+        """Labels as indices into ``schema.classes``.
+
+        The codes themselves, unless this dataset's class vocabulary differs
+        from the schema's (e.g. codes attached by a model).
+        """
+        if self._label_array is None:
+            if self.classes == tuple(self.schema.classes):
+                self._label_array = self.label_codes
+            else:
+                self._label_array = codes_from_labels(
+                    self.label_array(), self.schema.classes
+                )
+        return self._label_array
+
+    def class_distribution(self) -> Dict[str, int]:
+        counts = np.bincount(self.label_indices(), minlength=self.schema.n_classes)
+        return dict(zip(self.schema.classes, counts.tolist()))
+
+    def class_skew(self) -> float:
+        if not self._n:
+            raise DataGenerationError("cannot compute skew of an empty dataset")
+        return max(self.class_distribution().values()) / self._n
 
     # -- Dataset contract --------------------------------------------------
 
@@ -210,13 +320,6 @@ class ColumnarDataset(Dataset):
         return self._records_cache
 
     @property
-    def labels(self) -> List[str]:  # type: ignore[override]
-        """Labels as a plain list, materialised lazily on first access."""
-        if self._labels_cache is None:
-            self._labels_cache = self._label_values.tolist()
-        return self._labels_cache
-
-    @property
     def records_materialized(self) -> bool:
         """Whether the per-record dict view has been built."""
         return self._records_cache is not None
@@ -225,19 +328,22 @@ class ColumnarDataset(Dataset):
         return self._n
 
     def __repr__(self) -> str:
+        state = "labelled" if self.is_labelled else "unlabelled"
         return (
             f"ColumnarDataset(n={self._n}, "
             f"attributes={self.schema.n_attributes}, "
-            f"classes={self.schema.classes})"
+            f"classes={self.classes}, {state})"
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
+        labelled = getattr(other, "is_labelled", True)
         return (
             self.schema.attribute_names == other.schema.attribute_names
             and self.schema.classes == other.schema.classes
-            and self.labels == other.labels
+            and self.is_labelled == labelled
+            and (not labelled or self.labels == other.labels)
             and self.records == other.records
         )
 
@@ -252,27 +358,66 @@ class ColumnarDataset(Dataset):
         out[:] = column.tolist()
         return out
 
-    def label_indices(self) -> np.ndarray:
-        if self._label_array is None:
-            out = np.full(self._n, -1, dtype=int)
-            for index, label in enumerate(self.schema.classes):
-                out[self._label_values == label] = index
-            if (out == -1).any():
-                # Fail fast like the record-backed Dataset: an unmapped label
-                # must not silently alias the last class through index -1.
-                self._check_labels(self._label_values)
-            self._label_array = out
-        return self._label_array
+    def iter_rows(self) -> Iterator[Tuple[Record, Optional[str]]]:
+        """Yield ``(record, label)`` pairs one at a time without caching.
 
-    def class_distribution(self) -> Dict[str, int]:
-        values, counts = np.unique(self._label_values, return_counts=True)
-        by_label = dict(zip(values.tolist(), counts.tolist()))
-        return {c: int(by_label.get(c, 0)) for c in self.schema.classes}
+        Unlike iterating the dataset (which materialises and caches the full
+        record list), this builds each dict on the fly — the bounded-memory
+        row stream the ``generate`` CLI writers consume.  Unlabelled rows
+        come with a ``None`` label.
+        """
+        names = self.schema.attribute_names
+        lists = [self._columns[name].tolist() for name in names]
+        labels = self.label_array().tolist() if self.is_labelled else repeat(None)
+        for row, label in zip(zip(*lists), labels):
+            yield dict(zip(names, row)), label
 
-    def class_skew(self) -> float:
-        if not self._n:
-            raise DataGenerationError("cannot compute skew of an empty dataset")
-        return max(self.class_distribution().values()) / self._n
+    # -- zero-copy views ---------------------------------------------------
+
+    def _take(self, selector: Union[slice, np.ndarray]) -> "ColumnarDataset":
+        """Rows ``selector`` (a slice view or an index-array copy)."""
+        return ColumnarDataset(
+            self.schema,
+            {name: column[selector] for name, column in self._columns.items()},
+            None if self._codes is None else self._codes[selector],
+            validate=False,
+            classes=self.classes,
+            owner=self._owner if isinstance(selector, slice) else None,
+        )
+
+    def slice(self, start: int, stop: Optional[int] = None) -> "ColumnarDataset":
+        """Rows ``start:stop`` as a zero-copy view."""
+        return self._take(slice(start, stop))
+
+    def iter_chunks(self, chunk_size: int) -> Iterator["ColumnarDataset"]:
+        """Yield zero-copy views of at most ``chunk_size`` rows, in order."""
+        if chunk_size <= 0:
+            raise SchemaError(f"chunk size must be positive, got {chunk_size}")
+        for start in range(0, self._n, chunk_size):
+            yield self.slice(start, start + chunk_size)
+
+    def with_label_codes(
+        self, label_codes: np.ndarray, classes: Optional[Sequence[str]] = None
+    ) -> "ColumnarDataset":
+        """These columns with a (new) label-code array — zero-copy."""
+        return ColumnarDataset(
+            self.schema,
+            self._columns,
+            label_codes,
+            validate=False,
+            classes=self.classes if classes is None else classes,
+            owner=self._owner,
+        )
+
+    def without_labels(self) -> "ColumnarDataset":
+        """These columns with the labels dropped — zero-copy."""
+        return ColumnarDataset(
+            self.schema,
+            self._columns,
+            validate=False,
+            classes=self.classes,
+            owner=self._owner,
+        )
 
     # -- dataset algebra ---------------------------------------------------
 
@@ -303,69 +448,45 @@ class ColumnarDataset(Dataset):
                 indices = list(indices)
             return super().subset(indices)
         window = _as_slice(indices)
-        selector: Union[slice, np.ndarray]
-        if window is not None:
-            selector = window
-        else:
-            selector = np.asarray(indices, dtype=np.intp)
-        columns = {name: column[selector] for name, column in self._columns.items()}
-        return ColumnarDataset(
-            self.schema, columns, self._label_values[selector], validate=False
+        return self._take(
+            window if window is not None else np.asarray(indices, dtype=np.intp)
         )
 
     def concat(self, other: Dataset) -> Dataset:
-        if other.schema.attribute_names != self.schema.attribute_names:
-            raise SchemaError("cannot concatenate datasets with different schemas")
-        if other.schema.classes != self.schema.classes:
-            raise SchemaError("cannot concatenate datasets with different class labels")
-        if isinstance(other, ColumnarDataset):
-            columns = {
-                name: np.concatenate([column, other._columns[name]])
-                for name, column in self._columns.items()
-            }
-            labels = np.concatenate([self._label_values, other._label_values])
-            return ColumnarDataset(self.schema, columns, labels, validate=False)
-        return Dataset(
-            self.schema,
-            self.records + other.records,
-            self.labels + other.labels,
-            validate=False,
-        )
+        """This dataset followed by ``other``.
 
-    def relabelled(self, labeller: Callable[[Record], str]) -> Dataset:
-        labels = [self.schema.validate_label(labeller(r)) for r in self.records]
+        Two columnar datasets concatenate column-wise
+        (:func:`~repro.data.chunks.concat_chunks`); a record-backed ``other``
+        yields a record-backed :class:`Dataset`.
+        """
+        if not isinstance(other, ColumnarDataset):
+            return super().concat(other)
+        # Imported here: repro.data.chunks builds on this module.
+        from repro.data.chunks import concat_chunks
+
+        return concat_chunks((self, other))
+
+    def relabelled(self, labeller: Callable[[Record], str]) -> "ColumnarDataset":
+        labels = [labeller(record) for record in self.records]
         return ColumnarDataset(
-            self.schema, self._columns, np.asarray(labels), validate=False
+            self.schema, self._columns, labels, validate=False, owner=self._owner
         )
 
-    def relabelled_batch(self, batch_labeller: Callable[[Mapping[str, np.ndarray]], np.ndarray]) -> "ColumnarDataset":
+    def relabelled_batch(
+        self, batch_labeller: Callable[[Mapping[str, np.ndarray]], np.ndarray]
+    ) -> "ColumnarDataset":
         """Relabel with a vectorised labeller (one call for all rows)."""
-        labels = np.asarray(batch_labeller(self._columns))
-        if labels.shape != (self._n,):
-            raise SchemaError(
-                f"batch labeller returned shape {labels.shape}, expected ({self._n},)"
-            )
-        # Mirror relabelled()'s per-record validate_label, vectorised: an
-        # unknown label must raise, not silently alias a class index.
-        self._check_labels(labels)
-        return ColumnarDataset(self.schema, self._columns, labels, validate=False)
+        return ColumnarDataset(
+            self.schema,
+            self._columns,
+            batch_labeller(self._columns),
+            validate=False,
+            owner=self._owner,
+        )
 
     def to_dataset(self) -> Dataset:
         """An equivalent record-backed :class:`Dataset` (materialises)."""
         return Dataset(self.schema, list(self.records), list(self.labels), validate=False)
-
-    def iter_rows(self) -> Iterator[Tuple[Record, str]]:
-        """Yield ``(record, label)`` pairs one at a time without caching.
-
-        Unlike iterating the dataset (which materialises and caches the full
-        record list), this builds each dict on the fly — the bounded-memory
-        row stream the ``generate`` CLI writers consume.
-        """
-        names = self.schema.attribute_names
-        lists = [self._columns[name].tolist() for name in names]
-        labels = self._label_values.tolist()
-        for row, label in zip(zip(*lists), labels):
-            yield dict(zip(names, row)), label
 
 
 def columnar_from_records(
@@ -395,4 +516,4 @@ def columnar_from_records(
             column = np.empty(len(values), dtype=object)
             column[:] = values
             columns[attribute.name] = column
-    return ColumnarDataset(schema, columns, np.asarray(labels), validate=validate)
+    return ColumnarDataset(schema, columns, labels, validate=validate)

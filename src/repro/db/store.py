@@ -27,8 +27,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.data.chunks import Chunk
-from repro.data.columnar import ColumnarDataset
+from repro.data.columnar import ColumnarDataset, columnar_from_records
 from repro.data.dataset import Dataset, Record
 from repro.data.schema import Schema
 from repro.db.dialect import SQLITE, SqlDialect
@@ -57,19 +56,17 @@ DEFAULT_BATCH_SIZE = 50_000
 DEFAULT_FETCH_SIZE = 50_000
 
 
-def dataset_rows(
-    data: Union[Dataset, Chunk], include_label: bool = True
-) -> Iterator[Tuple]:
-    """Driver-ready insertion rows of a dataset or chunk, in order.
+def dataset_rows(data: Dataset, include_label: bool = True) -> Iterator[Tuple]:
+    """Driver-ready insertion rows of a dataset, in order.
 
-    Columnar datasets and chunks convert through ``tolist()`` (Python
-    scalars — NumPy types would otherwise leak into the driver) and zip the
-    column lists directly, never materialising per-record dicts;
+    Columnar datasets convert through ``tolist()`` (Python scalars — NumPy
+    types would otherwise leak into the driver) and zip the column lists
+    directly, never materialising per-record dicts;
     record-backed datasets zip their existing dicts.  ``include_label=False``
     yields attribute-only rows (the predictor's unlabelled staging tables).
     """
     names = data.schema.attribute_names
-    if isinstance(data, (ColumnarDataset, Chunk)):
+    if isinstance(data, ColumnarDataset):
         lists = [data.column(name).tolist() for name in names]
         if include_label:
             return iter(zip(*lists, data.label_array().tolist()))
@@ -254,15 +251,14 @@ class TupleStore:
 
     def load(
         self,
-        data: Union[Dataset, Chunk, Iterable[Union[Dataset, Chunk]]],
+        data: Union[Dataset, Iterable[Dataset]],
         batch_size: int = DEFAULT_BATCH_SIZE,
         method: str = "auto",
     ) -> int:
-        """Bulk-load a dataset/chunk — or a stream of them — and return the count.
+        """Bulk-load a dataset — or a stream of them — and return the count.
 
-        Accepts a :class:`~repro.data.dataset.Dataset` /
-        :class:`~repro.data.columnar.ColumnarDataset` /
-        :class:`~repro.data.chunks.Chunk`, or any iterable of them (e.g.
+        Accepts a :class:`~repro.data.dataset.Dataset` (columnar or
+        record-backed), or any iterable of them (e.g. the chunk stream of
         ``AgrawalGenerator.iter_chunks(...)``).
 
         ``method`` selects the write path:
@@ -278,8 +274,8 @@ class TupleStore:
           from :meth:`create`) are re-created afterwards from their recorded
           DDL.  Raises :class:`~repro.db.fastload.RawLoadUnsupported` when
           the shape is out of scope.
-        * ``"auto"`` (default) — ``"raw"`` when the input is a chunk stream
-          and the store qualifies, ``"rows"`` otherwise; shapes the raw lane
+        * ``"auto"`` (default) — ``"raw"`` when the input is columnar and
+          the store qualifies, ``"rows"`` otherwise; shapes the raw lane
           rejects late (e.g. a load crossing the 1GiB lock-byte page) fall
           back to ``"rows"`` transparently.
         """
@@ -289,8 +285,8 @@ class TupleStore:
             raise DatabaseError(
                 f"unknown load method {method!r}; expected auto, rows, or raw"
             )
-        stream: Iterator[Union[Dataset, Chunk]]
-        if isinstance(data, (Dataset, Chunk)):
+        stream: Iterator[Dataset]
+        if isinstance(data, Dataset):
             stream = iter((data,))
         else:
             stream = iter(data)
@@ -301,7 +297,9 @@ class TupleStore:
             return 0
         chunks = itertools.chain((first,), stream)
         raw = method == "raw" or (
-            method == "auto" and isinstance(first, Chunk) and self._raw_eligible()
+            method == "auto"
+            and isinstance(first, ColumnarDataset)
+            and self._raw_eligible()
         )
         # The span drives the whole consume-and-write loop, so with a lazy
         # input stream it is wall attribution of the store stage (upstream
@@ -321,7 +319,7 @@ class TupleStore:
 
     def _load_rows(
         self,
-        chunks: Iterable[Union[Dataset, Chunk]],
+        chunks: Iterable[Dataset],
         batch_size: int,
     ) -> int:
         with self.lock:
@@ -331,10 +329,10 @@ class TupleStore:
             try:
                 with connection:
                     for chunk in chunks:
-                        if not isinstance(chunk, (Dataset, Chunk)):
+                        if not isinstance(chunk, Dataset):
                             raise DatabaseError(
-                                "load() expects a Dataset/Chunk or an iterable "
-                                f"of them, got a chunk of type {type(chunk).__name__}"
+                                "load() expects a Dataset or an iterable of "
+                                f"them, got a chunk of type {type(chunk).__name__}"
                             )
                         if chunk.schema.attribute_names != self.schema.attribute_names:
                             raise DatabaseError(
@@ -381,7 +379,7 @@ class TupleStore:
 
     def _load_raw(
         self,
-        chunks: Iterable[Union[Dataset, Chunk]],
+        chunks: Iterable[Dataset],
         batch_size: int,
         fallback: bool,
     ) -> int:
@@ -396,15 +394,17 @@ class TupleStore:
         writer = RawSqliteWriter(
             self.path, self.schema, self.table, self.class_column, self.dialect
         )
-        staged: List[Chunk] = []
+        staged: List[ColumnarDataset] = []
         try:
             for chunk in chunks:
-                if isinstance(chunk, Dataset):
-                    chunk = Chunk.from_dataset(chunk)
-                elif not isinstance(chunk, Chunk):
+                if not isinstance(chunk, Dataset):
                     raise DatabaseError(
-                        "load() expects a Dataset/Chunk or an iterable of "
-                        f"them, got a chunk of type {type(chunk).__name__}"
+                        "load() expects a Dataset or an iterable of them, "
+                        f"got a chunk of type {type(chunk).__name__}"
+                    )
+                if not isinstance(chunk, ColumnarDataset):
+                    chunk = columnar_from_records(
+                        chunk.schema, chunk.records, chunk.labels, validate=False
                     )
                 writer.append(chunk)
                 staged.append(chunk)
@@ -602,6 +602,5 @@ class TupleStore:
                 name: np.asarray(transposed[i + 1], dtype=dtypes[name])
                 for i, name in enumerate(names)
             }
-            labels = np.asarray(transposed[-1], dtype=object)
-            yield ColumnarDataset(self.schema, columns, labels, validate=False)
+            yield ColumnarDataset(self.schema, columns, transposed[-1], validate=False)
 

@@ -25,6 +25,10 @@ from repro.preprocessing.encoder import TupleEncoder
 from repro.rules.ruleset import RuleSet
 
 
+#: Default of ``splitter_config`` (``None`` already means "no splitting").
+_DEFAULT_SPLITTER = object()
+
+
 @register_extractor
 class NeuroRuleExtractor(BaseExtractor):
     """Decompositional extraction: open the pruned network up (RX).
@@ -36,7 +40,8 @@ class NeuroRuleExtractor(BaseExtractor):
         substitution bound, ...).
     splitter_config:
         Configuration of the hidden-unit splitter used for units whose fan-in
-        exceeds the enumeration limit; ``None`` disables splitting.
+        exceeds the enumeration limit (a fresh ``SplitterConfig()`` when
+        omitted); ``None`` disables splitting.
     """
 
     name = "neurorule"
@@ -44,10 +49,12 @@ class NeuroRuleExtractor(BaseExtractor):
     def __init__(
         self,
         config: Optional[ExtractionConfig] = None,
-        splitter_config: Optional[SplitterConfig] = SplitterConfig(),
+        splitter_config: Optional[SplitterConfig] = _DEFAULT_SPLITTER,  # type: ignore[assignment]
     ) -> None:
         self.config = config or ExtractionConfig()
-        self.splitter_config = splitter_config
+        self.splitter_config = (
+            SplitterConfig() if splitter_config is _DEFAULT_SPLITTER else splitter_config
+        )
 
     def params(self) -> Dict:
         return {

@@ -16,7 +16,8 @@ the chunk fabric's hot path:
 * **Buffers serialize across the fan-out boundary.**  A worker process
   records spans into its own (fork-reset) tracer, exports them as plain
   dicts, and ships them back through the existing result channel next to
-  the :class:`~repro.data.chunks.SharedChunkMeta`; the parent *adopts* them
+  the chunk's shared-memory descriptor
+  (:class:`~repro.data.chunks.SharedChunkMeta`); the parent *adopts* them
   — remapping ids and re-parenting the worker's roots under the fan-out
   span — so one trace covers every process of a run.
 

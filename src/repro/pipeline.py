@@ -2,8 +2,9 @@
 """The chunk-fabric pipeline: generate → classify → store on one machine.
 
 :func:`run_pipeline` wires the three data-plane stages of the reproduction
-together over the :class:`~repro.data.chunks.Chunk` interchange type, with
-zero-copy hand-offs at every boundary:
+together over one columnar batch type,
+:class:`~repro.data.columnar.ColumnarDataset`, with zero-copy hand-offs at
+every boundary:
 
 * **generate** — :meth:`AgrawalGenerator.iter_chunks
   <repro.data.agrawal.AgrawalGenerator.iter_chunks>` emits columnar chunks
@@ -43,7 +44,7 @@ from typing import Dict, Iterable, Iterator, Optional
 
 from repro import obs
 from repro.data.agrawal import AgrawalGenerator
-from repro.data.chunks import Chunk
+from repro.data.columnar import ColumnarDataset
 from repro.db.store import TupleStore
 from repro.exceptions import ReproError
 from repro.serving.models import KIND_RULES, ServableModel
@@ -112,7 +113,7 @@ class _StageTimer:
         self.seconds = 0.0
         self.span_name = span_name
 
-    def wrap(self, chunks: Iterable[Chunk]) -> Iterator[Chunk]:
+    def wrap(self, chunks: Iterable[ColumnarDataset]) -> Iterator[ColumnarDataset]:
         iterator = iter(chunks)
         index = 0
         while True:

@@ -168,6 +168,23 @@ def test_hot_path_chunk_fabric_modules_are_declared_hot(analyze_snippet):
         assert hits == [(4, "hot-path-purity")], relpath
 
 
+def test_hot_path_columnar_batch_type_is_declared_hot(analyze_snippet):
+    # ColumnarDataset is the one batch type every fabric stage hands on, so
+    # its module is hot by path like the rest of the fabric.
+    report = analyze_snippet(
+        "repro/data/columnar.py",
+        """\
+            def run(model, records):
+                labels = []
+                for r in records:
+                    labels.append(model.predict_record(r))
+                return labels
+        """,
+        rules=["hot-path-purity"],
+    )
+    assert _hits(report, "hot-path-purity") == [(4, "hot-path-purity")]
+
+
 def test_hot_path_vectorised_code_is_clean(analyze_snippet):
     report = analyze_snippet(
         "pkg/engine.py",

@@ -63,5 +63,5 @@ def test_slices_preserve_labels(function):
     chunk = next(generator.iter_chunks(N, chunk_size=N))
     window = chunk.slice(100, 900)
     assert window.labels == chunk.labels[100:900]
-    rejoined = concat_chunks(list(chunk.split(97)))
+    rejoined = concat_chunks(list(chunk.iter_chunks(97)))
     assert rejoined.labels == chunk.labels

@@ -1,4 +1,8 @@
-"""Tests of the Chunk interchange type: views, labels, transport."""
+"""Tests of the chunk transport: shared-memory hand-off of columnar batches.
+
+The batch type itself (construction, views, labels, slicing, concatenation)
+is covered by ``test_columnar.py``.
+"""
 
 import pickle
 
@@ -7,12 +11,9 @@ import pytest
 
 from repro.data.agrawal import AgrawalGenerator, agrawal_schema
 from repro.data.chunks import (
-    Chunk,
     SharedChunkMeta,
     chunk_from_shared,
     chunk_to_shared,
-    codes_from_labels,
-    concat_chunks,
     release_shared_chunk,
 )
 from repro.data.columnar import ColumnarDataset
@@ -26,150 +27,8 @@ def schema():
 
 
 @pytest.fixture(scope="module")
-def data():
+def chunk():
     return AgrawalGenerator(function=2, perturbation=0.05, seed=13).generate(400)
-
-
-@pytest.fixture()
-def chunk(data):
-    return Chunk.from_dataset(data)
-
-
-class TestConstruction:
-    def test_from_columnar_is_zero_copy(self, data, chunk):
-        for name in data.schema.attribute_names:
-            assert np.shares_memory(chunk.column(name), data.column(name))
-
-    def test_columns_are_read_only(self, chunk):
-        with pytest.raises(ValueError):
-            chunk.column("salary")[0] = 0.0
-
-    def test_source_arrays_stay_writable(self, schema):
-        salary = np.array([1.0, 2.0])
-        columns = {name: salary.copy() for name in schema.attribute_names}
-        columns["salary"] = salary
-        Chunk(schema, columns)
-        salary[0] = 9.0  # the chunk wraps views; the caller's array is untouched
-
-    def test_missing_column_rejected(self, schema, data):
-        columns = dict(data.columns)
-        del columns["salary"]
-        with pytest.raises(SchemaError, match="missing"):
-            Chunk(schema, columns)
-
-    def test_ragged_columns_rejected(self, schema, data):
-        columns = dict(data.columns)
-        columns["salary"] = columns["salary"][:-1]
-        with pytest.raises(SchemaError, match="length"):
-            Chunk(schema, columns)
-
-    def test_out_of_range_codes_rejected(self, schema, data):
-        with pytest.raises(SchemaError, match="index classes"):
-            Chunk(schema, data.columns, np.full(len(data), 2, dtype=np.int64))
-
-    def test_float_codes_rejected(self, schema, data):
-        with pytest.raises(SchemaError, match="integers"):
-            Chunk(schema, data.columns, np.zeros(len(data)))
-
-    def test_record_dataset_round_trips(self, data):
-        chunk = Chunk.from_dataset(data.to_dataset())
-        assert chunk.records == data.records
-        assert chunk.labels == data.labels
-
-
-class TestColumnarSurface:
-    def test_column_values_are_python_scalars(self, chunk):
-        values = chunk.column_values("age")
-        assert all(type(v) is int for v in values)
-
-    def test_unknown_column_rejected(self, chunk):
-        with pytest.raises(SchemaError, match="unknown attribute"):
-            chunk.column("wages")
-
-    def test_len(self, chunk, data):
-        assert len(chunk) == len(data)
-
-    def test_compiled_rules_evaluate_on_chunks(self, chunk, data):
-        from repro.serving.reference import reference_ruleset
-
-        compiled = reference_ruleset(2).compiled()
-        assert (
-            compiled.predict_batch(chunk).tolist()
-            == compiled.predict_batch(data).tolist()
-        )
-
-
-class TestLabels:
-    def test_label_array_matches_dataset(self, chunk, data):
-        assert chunk.label_array().tolist() == data.labels
-        assert chunk.labels == data.labels
-
-    def test_codes_round_trip(self, chunk):
-        codes = chunk.label_codes
-        assert codes.dtype == np.int64
-        rebuilt = np.array(list(chunk.classes), dtype=object)[codes]
-        assert rebuilt.tolist() == chunk.labels
-
-    def test_unlabelled_chunk_has_no_codes(self, chunk):
-        bare = chunk.without_labels()
-        assert not bare.is_labelled
-        with pytest.raises(SchemaError, match="no labels"):
-            bare.label_codes
-
-    def test_with_label_codes_replaces_labels(self, chunk):
-        flipped = chunk.with_label_codes(1 - chunk.label_codes)
-        assert flipped.labels == [
-            {"A": "B", "B": "A"}[label] for label in chunk.labels
-        ]
-        assert np.shares_memory(flipped.column("salary"), chunk.column("salary"))
-
-    def test_codes_from_labels_rejects_unknown(self):
-        with pytest.raises(SchemaError, match="unknown class"):
-            codes_from_labels(np.array(["A", "C"], dtype=object), ("A", "B"))
-
-
-class TestSlicing:
-    def test_slice_is_zero_copy(self, chunk):
-        window = chunk.slice(10, 60)
-        assert len(window) == 50
-        assert np.shares_memory(window.column("salary"), chunk.column("salary"))
-        assert window.labels == chunk.labels[10:60]
-
-    def test_split_covers_everything_in_order(self, chunk):
-        pieces = list(chunk.split(150))
-        assert [len(p) for p in pieces] == [150, 150, 100]
-        assert sum((p.labels for p in pieces), []) == chunk.labels
-
-    def test_split_size_validated(self, chunk):
-        with pytest.raises(SchemaError, match="positive"):
-            list(chunk.split(0))
-
-    def test_concat_restores_split(self, chunk):
-        merged = concat_chunks(list(chunk.split(64)))
-        assert merged.labels == chunk.labels
-        for name in chunk.schema.attribute_names:
-            assert np.array_equal(merged.column(name), chunk.column(name))
-
-    def test_instance_concat(self, chunk):
-        first, second = chunk.slice(0, 100), chunk.slice(100, None)
-        assert first.concat(second).labels == chunk.labels
-
-    def test_concat_rejects_mixed_labelling(self, chunk):
-        with pytest.raises(SchemaError, match="labelled and unlabelled"):
-            concat_chunks([chunk, chunk.without_labels()])
-
-    def test_iter_rows_matches_records(self, chunk, data):
-        rows = list(chunk.iter_rows())
-        assert [r for r, _ in rows] == data.records
-        assert [l for _, l in rows] == data.labels
-
-
-class TestConversions:
-    def test_to_columnar_round_trip(self, chunk, data):
-        columnar = chunk.to_columnar()
-        assert isinstance(columnar, ColumnarDataset)
-        assert columnar.records == data.records
-        assert columnar.labels == data.labels
 
 
 class TestSharedMemoryTransport:
@@ -204,7 +63,7 @@ class TestSharedMemoryTransport:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=meta.name)
 
-    def test_release_is_noop_for_plain_chunks(self, chunk):
+    def test_release_is_noop_for_chunks_not_in_shared_memory(self, chunk):
         release_shared_chunk(chunk)  # must not raise
 
     def test_meta_survives_pickling(self):
@@ -220,7 +79,7 @@ class TestSharedMemoryTransport:
         )
         column = np.empty(2, dtype=object)
         column[:] = ["x", "y"]
-        chunk = Chunk(schema, {"kind": column})
+        chunk = ColumnarDataset(schema, {"kind": column})
         with pytest.raises(SchemaError, match="shared memory"):
             chunk_to_shared(chunk)
 
@@ -234,7 +93,7 @@ class TestBooleanColumns:
             ],
             classes=("A", "B"),
         )
-        chunk = Chunk(
+        chunk = ColumnarDataset(
             schema,
             {
                 "x": np.array([1.0, 2.0]),

@@ -1,10 +1,11 @@
-"""Unit tests for the columnar dataset container."""
+"""Unit tests of the one columnar batch type, ColumnarDataset."""
 
 import numpy as np
 import pytest
 
 from repro.data.agrawal import AgrawalGenerator
-from repro.data.columnar import ColumnarDataset, columnar_from_records
+from repro.data.chunks import concat_chunks
+from repro.data.columnar import ColumnarDataset, codes_from_labels, columnar_from_records
 from repro.data.dataset import Dataset
 from repro.data.schema import CategoricalAttribute, ContinuousAttribute, Schema
 from repro.exceptions import SchemaError
@@ -36,87 +37,99 @@ def tiny_columnar(tiny_schema):
     )
 
 
+@pytest.fixture(scope="module")
+def data():
+    """400 perturbed function-2 tuples, as the generator produces them."""
+    return AgrawalGenerator(function=2, perturbation=0.05, seed=13).generate(400)
+
+
+def two_rows(**overrides):
+    """Valid two-row tiny columns, with some replaced (``None`` drops one)."""
+    columns = {
+        "income": np.asarray([10.0, 20.0]),
+        "age": np.asarray([20, 30]),
+        "grade": np.asarray([0, 1]),
+    }
+    columns.update(overrides)
+    return {name: column for name, column in columns.items() if column is not None}
+
+
 class TestConstruction:
     def test_is_a_dataset(self, tiny_columnar):
         assert isinstance(tiny_columnar, Dataset)
         assert len(tiny_columnar) == 4
 
-    def test_missing_column_rejected(self, tiny_schema):
-        with pytest.raises(SchemaError, match="columns missing"):
-            ColumnarDataset(tiny_schema, {"income": np.zeros(2)}, np.asarray(["yes", "no"]))
+    @pytest.mark.parametrize(
+        "columns, labels, match",
+        [
+            (two_rows(age=None), ["yes", "no"], "columns missing"),
+            (two_rows(bogus=np.zeros(2)), ["yes", "no"], "unknown attributes"),
+            (two_rows(age=np.asarray([20, 30, 40])), ["yes", "no"], "length"),
+            (two_rows(grade=np.zeros((2, 1))), ["yes", "no"], "1-D"),
+            (two_rows(), ["yes"], "labels have shape"),
+            (two_rows(income=np.asarray([10.0, 500.0])), ["yes", "no"], "outside"),
+            (two_rows(grade=np.asarray([0, 7])), ["yes", "no"], "domain"),
+            (two_rows(), ["yes", "maybe"], "unknown class label"),
+            (two_rows(), np.asarray([0, 2]), "index classes"),
+            (two_rows(), np.asarray([-1, 0]), "index classes"),
+            (two_rows(), np.zeros(2), "unknown class label"),
+        ],
+        ids=[
+            "missing-column",
+            "unknown-column",
+            "ragged-columns",
+            "2-D-column",
+            "label-length",
+            "out-of-range",
+            "out-of-domain",
+            "unknown-label",
+            "code-too-large",
+            "negative-code",
+            "float-codes",
+        ],
+    )
+    def test_rejects_bad_input(self, tiny_schema, columns, labels, match):
+        with pytest.raises(SchemaError, match=match):
+            ColumnarDataset(tiny_schema, columns, labels)
 
-    def test_unknown_column_rejected(self, tiny_schema):
-        with pytest.raises(SchemaError, match="unknown attributes"):
-            ColumnarDataset(
-                tiny_schema,
-                {
-                    "income": np.zeros(1),
-                    "age": np.asarray([20]),
-                    "grade": np.asarray([0]),
-                    "bogus": np.zeros(1),
-                },
-                np.asarray(["yes"]),
-            )
+    def test_label_indices_reject_unknown_labels(self, tiny_schema):
+        # Labels are checked at construction even without column validation:
+        # an unmapped label must never alias a class index later.
+        with pytest.raises(SchemaError, match="unknown class label"):
+            ColumnarDataset(tiny_schema, two_rows(), ["yes", "typo"], validate=False)
 
-    def test_ragged_columns_rejected(self, tiny_schema):
-        with pytest.raises(SchemaError, match="length"):
-            ColumnarDataset(
-                tiny_schema,
-                {
-                    "income": np.zeros(2),
-                    "age": np.asarray([20, 30, 40]),
-                    "grade": np.asarray([0, 1]),
-                },
-                np.asarray(["yes", "no"]),
-            )
-
-    def test_label_length_mismatch_rejected(self, tiny_schema):
-        with pytest.raises(SchemaError, match="labels"):
-            ColumnarDataset(
-                tiny_schema,
-                {
-                    "income": np.zeros(2),
-                    "age": np.asarray([20, 30]),
-                    "grade": np.asarray([0, 1]),
-                },
-                np.asarray(["yes"]),
-            )
-
-    def test_validation_rejects_out_of_range(self, tiny_schema):
-        with pytest.raises(SchemaError, match="outside"):
-            ColumnarDataset(
-                tiny_schema,
-                {
-                    "income": np.asarray([10.0, 500.0]),
-                    "age": np.asarray([20, 30]),
-                    "grade": np.asarray([0, 1]),
-                },
-                np.asarray(["yes", "no"]),
-            )
-
-    def test_validation_rejects_out_of_domain(self, tiny_schema):
+    def test_validation_numeric_column_vs_string_domain(self):
+        schema = Schema(
+            attributes=[
+                ContinuousAttribute("income", 0.0, 100.0),
+                CategoricalAttribute("colour", ("red", "green")),
+            ],
+            classes=("yes", "no"),
+        )
         with pytest.raises(SchemaError, match="domain"):
             ColumnarDataset(
-                tiny_schema,
-                {
-                    "income": np.asarray([10.0, 20.0]),
-                    "age": np.asarray([20, 30]),
-                    "grade": np.asarray([0, 7]),
-                },
-                np.asarray(["yes", "no"]),
+                schema,
+                {"income": np.asarray([1.0]), "colour": np.asarray([3])},
+                np.asarray(["yes"]),
             )
 
-    def test_validation_rejects_bad_label(self, tiny_schema):
-        with pytest.raises(SchemaError, match="label"):
-            ColumnarDataset(
-                tiny_schema,
-                {
-                    "income": np.asarray([10.0]),
-                    "age": np.asarray([20]),
-                    "grade": np.asarray([0]),
-                },
-                np.asarray(["maybe"]),
-            )
+    def test_columns_are_read_only_views(self, tiny_schema):
+        income = np.asarray([10.0, 20.0])
+        dataset = ColumnarDataset(tiny_schema, two_rows(income=income), ["yes", "no"])
+        assert np.shares_memory(dataset.column("income"), income)
+        with pytest.raises(ValueError):
+            dataset.column("income")[0] = 0.0
+        income[0] = 9.0  # the caller's array stays writable
+
+    @pytest.mark.parametrize(
+        "labels", [["yes", "no"], np.asarray([0, 1]), np.asarray([0, 1], dtype=np.uint8)]
+    )
+    def test_strings_and_codes_store_the_same_int64_codes(self, tiny_schema, labels):
+        dataset = ColumnarDataset(tiny_schema, two_rows(), labels)
+        assert dataset.label_codes.dtype == np.int64
+        assert dataset.label_codes.tolist() == [0, 1]
+        assert not dataset.label_codes.flags.writeable
+        assert dataset.labels == ["yes", "no"]
 
     def test_from_records_round_trip(self, tiny_columnar):
         rebuilt = columnar_from_records(
@@ -125,6 +138,10 @@ class TestConstruction:
         assert rebuilt.records == tiny_columnar.records
         assert rebuilt.labels == tiny_columnar.labels
         assert rebuilt.column("age").dtype == np.int64
+
+    def test_repr_names_labelling(self, tiny_columnar):
+        assert repr(tiny_columnar).endswith(", labelled)")
+        assert repr(tiny_columnar.without_labels()).endswith(", unlabelled)")
 
 
 class TestLazyRecords:
@@ -152,6 +169,15 @@ class TestLazyRecords:
         assert rows[1] == ({"income": 20.0, "age": 30, "grade": 1}, "no")
         assert not tiny_columnar.records_materialized
 
+    def test_iter_rows_matches_records(self, data):
+        rows = list(data.iter_rows())
+        assert [r for r, _ in rows] == data.records
+        assert [l for _, l in rows] == data.labels
+
+    def test_unlabelled_iter_rows_yield_none(self, tiny_columnar):
+        labels = [label for _, label in tiny_columnar.without_labels().iter_rows()]
+        assert labels == [None] * 4
+
 
 class TestArrayViews:
     def test_attribute_column_continuous(self, tiny_columnar):
@@ -164,44 +190,65 @@ class TestArrayViews:
         assert column.dtype == object
         assert column.tolist() == [0, 1, 2, 1]
 
-    def test_label_indices_reject_unknown_labels(self, tiny_schema):
-        dataset = ColumnarDataset(
-            tiny_schema,
-            {
-                "income": np.asarray([10.0, 20.0]),
-                "age": np.asarray([20, 30]),
-                "grade": np.asarray([0, 1]),
-            },
-            np.asarray(["yes", "typo"]),
-            validate=False,
-        )
-        with pytest.raises(SchemaError, match="unknown class label"):
-            dataset.label_indices()
+    def test_column_values_are_python_scalars(self, data):
+        values = data.column_values("age")
+        assert all(type(v) is int for v in values)
 
-    def test_validation_numeric_column_vs_string_domain(self):
-        schema = Schema(
-            attributes=[
-                ContinuousAttribute("income", 0.0, 100.0),
-                CategoricalAttribute("colour", ("red", "green")),
-            ],
-            classes=("yes", "no"),
-        )
-        with pytest.raises(SchemaError, match="domain"):
-            ColumnarDataset(
-                schema,
-                {"income": np.asarray([1.0]), "colour": np.asarray([3])},
-                np.asarray(["yes"]),
-            )
+    def test_unknown_column_rejected(self, data):
+        with pytest.raises(SchemaError, match="unknown attribute"):
+            data.column("wages")
 
+    def test_compiled_rules_evaluate_on_columns(self, data):
+        from repro.serving.reference import reference_ruleset
+
+        compiled = reference_ruleset(2).compiled()
+        assert (
+            compiled.predict_batch(data).tolist()
+            == compiled.predict_batch(data.to_dataset()).tolist()
+        )
+
+
+class TestLabels:
     def test_label_indices_and_targets(self, tiny_columnar):
         assert tiny_columnar.label_indices().tolist() == [0, 1, 0, 1]
         targets = tiny_columnar.label_targets()
         assert targets.shape == (4, 2)
         assert targets[:, 0].tolist() == [1.0, 0.0, 1.0, 0.0]
 
+    def test_label_indices_follow_the_schema_classes(self, tiny_columnar):
+        swapped = tiny_columnar.with_label_codes(
+            np.asarray([1, 0, 1, 0]), classes=("no", "yes")
+        )
+        assert swapped.labels == tiny_columnar.labels
+        assert swapped.label_indices().tolist() == [0, 1, 0, 1]
+
     def test_class_distribution_and_skew(self, tiny_columnar):
         assert tiny_columnar.class_distribution() == {"yes": 2, "no": 2}
         assert tiny_columnar.class_skew() == 0.5
+
+    def test_label_array_is_object_strings(self, data):
+        assert data.label_array().dtype == object
+        assert data.label_array().tolist() == data.labels
+
+    def test_codes_round_trip(self, data):
+        rebuilt = np.array(list(data.classes), dtype=object)[data.label_codes]
+        assert rebuilt.tolist() == data.labels
+
+    def test_unlabelled_has_no_codes(self, data):
+        bare = data.without_labels()
+        assert not bare.is_labelled
+        assert np.shares_memory(bare.column("salary"), data.column("salary"))
+        with pytest.raises(SchemaError, match="no labels"):
+            bare.label_codes
+
+    def test_with_label_codes_replaces_labels(self, data):
+        flipped = data.with_label_codes(1 - data.label_codes)
+        assert flipped.labels == [{"A": "B", "B": "A"}[label] for label in data.labels]
+        assert np.shares_memory(flipped.column("salary"), data.column("salary"))
+
+    def test_codes_from_labels_rejects_unknown(self):
+        with pytest.raises(SchemaError, match="unknown class label 'C'"):
+            codes_from_labels(np.array(["A", "C"], dtype=object), ("A", "B"))
 
 
 class TestSubset:
@@ -255,12 +302,44 @@ class TestSubset:
         assert len(kept) == 2
 
 
+class TestSlicing:
+    def test_slice_is_zero_copy(self, data):
+        window = data.slice(10, 60)
+        assert isinstance(window, ColumnarDataset)
+        assert len(window) == 50
+        assert np.shares_memory(window.column("salary"), data.column("salary"))
+        assert window.labels == data.labels[10:60]
+
+    def test_iter_chunks_covers_everything_in_order(self, data):
+        pieces = list(data.iter_chunks(150))
+        assert [len(p) for p in pieces] == [150, 150, 100]
+        assert sum((p.labels for p in pieces), []) == data.labels
+
+    def test_iter_chunks_size_validated(self, data):
+        with pytest.raises(SchemaError, match="positive"):
+            list(data.iter_chunks(0))
+
+    def test_concat_chunks_restores_iter_chunks(self, data):
+        merged = concat_chunks(list(data.iter_chunks(64)))
+        assert merged.labels == data.labels
+        for name in data.schema.attribute_names:
+            assert np.array_equal(merged.column(name), data.column(name))
+
+    def test_concat_chunks_rejects_mixed_labelling(self, data):
+        with pytest.raises(SchemaError, match="labelled and unlabelled"):
+            concat_chunks([data, data.without_labels()])
+
+
 class TestAlgebra:
     def test_concat_columnar(self, tiny_columnar):
         doubled = tiny_columnar.concat(tiny_columnar)
         assert isinstance(doubled, ColumnarDataset)
         assert len(doubled) == 8
         assert doubled.labels == tiny_columnar.labels * 2
+
+    def test_concat_of_slices_restores_the_whole(self, data):
+        first, second = data.slice(0, 100), data.slice(100, None)
+        assert first.concat(second).labels == data.labels
 
     def test_concat_with_record_backed(self, tiny_columnar):
         other = Dataset(
@@ -299,6 +378,9 @@ class TestAlgebra:
         )
         assert tiny_columnar == other
 
+    def test_labelled_never_equals_unlabelled(self, tiny_columnar):
+        assert tiny_columnar != tiny_columnar.without_labels()
+
 
 class TestEncoderFastPath:
     def test_transform_matrix_matches_record_path(self):
@@ -317,3 +399,75 @@ class TestEncoderFastPath:
         labels = rules.predict_batch(dataset)
         assert not dataset.records_materialized
         assert labels.tolist() == dataset.labels
+
+
+def _generated(generator):
+    return [generator.generate(300)]
+
+
+def _generated_clean(generator):
+    return [generator.generate_clean(300)]
+
+
+def _sequential_chunks(generator):
+    return list(generator.iter_chunks(300, chunk_size=128, processes=1))
+
+
+def _parallel_chunks(generator):
+    return list(generator.iter_chunks(300, chunk_size=128, processes=2))
+
+
+def _stored_chunks(generator):
+    from repro.db.store import TupleStore
+
+    with TupleStore(generator.schema) as store:
+        store.create()
+        store.load(generator.generate(300))
+        return list(store.iter_chunks(chunk_size=128))
+
+
+def _shared_memory_round_trip(generator):
+    from repro.data.chunks import chunk_from_shared, chunk_to_shared
+
+    return [chunk_from_shared(generator.schema, chunk_to_shared(generator.generate(300)))]
+
+
+def _boolean_truth_table(generator):
+    from repro.data.synthetic import boolean_function_dataset
+
+    return [boolean_function_dataset(4, lambda bits: bits[0] == bits[3])]
+
+
+@pytest.mark.parametrize(
+    "produce",
+    [
+        _generated,
+        _generated_clean,
+        _sequential_chunks,
+        _parallel_chunks,
+        _stored_chunks,
+        _shared_memory_round_trip,
+        _boolean_truth_table,
+    ],
+    ids=[
+        "generate",
+        "generate_clean",
+        "iter_chunks-1-process",
+        "iter_chunks-2-processes",
+        "TupleStore.iter_chunks",
+        "chunk_from_shared",
+        "boolean_function_dataset",
+    ],
+)
+def test_every_producer_returns_the_one_contract(produce):
+    """Every columnar producer returns read-only columns and int64 label codes."""
+    batches = produce(AgrawalGenerator(function=2, perturbation=0.05, seed=17))
+    assert batches
+    for batch in batches:
+        assert type(batch) is ColumnarDataset
+        assert batch.is_labelled
+        assert batch.label_codes.dtype == np.int64
+        assert not batch.label_codes.flags.writeable
+        assert batch.classes == tuple(batch.schema.classes)
+        for name in batch.schema.attribute_names:
+            assert not batch.column(name).flags.writeable

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.agrawal import AgrawalGenerator, agrawal_schema
-from repro.data.chunks import Chunk
+from repro.data.columnar import ColumnarDataset
 from repro.data.schema import CategoricalAttribute, ContinuousAttribute, Schema
 from repro.db.fastload import RawLoadUnsupported, RawSqliteWriter, schema_supports_raw
 from repro.db.store import TupleStore
@@ -144,7 +144,7 @@ class TestWriterDirect:
         other = Schema(
             attributes=[ContinuousAttribute("x", 0.0, 1.0)], classes=("A", "B")
         )
-        chunk = Chunk(other, {"x": np.array([0.5])}, np.array([0]))
+        chunk = ColumnarDataset(other, {"x": np.array([0.5])}, np.array([0]))
         with pytest.raises(DatabaseError):
             writer.append(chunk)
 

