@@ -37,8 +37,8 @@ DEFAULT_HOT_SUFFIXES: Tuple[str, ...] = (
     # raw-page bulk load, benchmarked end to end in BENCH_pipeline.json.
     "repro/data/chunks.py",
     "repro/data/fanout.py",
-    # The one columnar batch type every fabric stage hands on.
-    "repro/data/columnar.py",
+    # The one dataset type every fabric stage hands on.
+    "repro/data/dataset.py",
     "repro/db/fastload.py",
     "repro/pipeline.py",
 )

@@ -39,11 +39,10 @@ class CandidateSplit:
 
 
 def _partition_labels_continuous(
-    values: np.ndarray, labels: Sequence[str], threshold: float
+    values: np.ndarray, labels: np.ndarray, threshold: float
 ) -> Tuple[List[str], List[str]]:
-    left = [labels[i] for i in range(len(labels)) if values[i] <= threshold]
-    right = [labels[i] for i in range(len(labels)) if values[i] > threshold]
-    return left, right
+    left = values <= threshold
+    return labels[left].tolist(), labels[~left].tolist()
 
 
 def candidate_thresholds(values: np.ndarray, max_candidates: int = 64) -> List[float]:
@@ -72,6 +71,7 @@ def evaluate_splits(
 ) -> List[CandidateSplit]:
     """Score every admissible test on the given dataset."""
     labels = dataset.labels
+    label_array = dataset.label_array()
     names = attributes if attributes is not None else dataset.schema.attribute_names
     candidates: List[CandidateSplit] = []
     for name in names:
@@ -79,7 +79,7 @@ def evaluate_splits(
         if isinstance(attribute, ContinuousAttribute):
             values = dataset.attribute_column(name)
             for threshold in candidate_thresholds(values, max_thresholds):
-                left, right = _partition_labels_continuous(values, labels, threshold)
+                left, right = _partition_labels_continuous(values, label_array, threshold)
                 if len(left) < min_leaf_size or len(right) < min_leaf_size:
                     continue
                 partitions = [left, right]
@@ -92,10 +92,10 @@ def evaluate_splits(
                     )
                 )
         elif isinstance(attribute, CategoricalAttribute):
-            column = [r[name] for r in dataset.records]
-            partitions = []
-            for value in attribute.values:
-                partitions.append([labels[i] for i, v in enumerate(column) if v == value])
+            column = dataset.column(name)
+            partitions = [
+                label_array[column == value].tolist() for value in attribute.values
+            ]
             non_empty = [p for p in partitions if p]
             if len(non_empty) < 2:
                 continue

@@ -173,19 +173,19 @@ def _build(dataset: Dataset, config: TreeConfig, class_order: Sequence[str], dep
 
     children: Dict[Union[str, AttributeValue], TreeNode] = {}
     if split.is_continuous:
-        values = dataset.attribute_column(split.attribute)
-        left_indices = [i for i, v in enumerate(values) if v <= split.threshold]
-        right_indices = [i for i, v in enumerate(values) if v > split.threshold]
-        if not left_indices or not right_indices:
+        left = dataset.attribute_column(split.attribute) <= split.threshold
+        left_indices, right_indices = np.flatnonzero(left), np.flatnonzero(~left)
+        if not left_indices.size or not right_indices.size:
             return Leaf(prediction=majority, counts=counts)
         children["<="] = _build(dataset.subset(left_indices), config, class_order, depth + 1)
         children[">"] = _build(dataset.subset(right_indices), config, class_order, depth + 1)
     else:
         attribute = dataset.schema.attribute(split.attribute)
         assert isinstance(attribute, CategoricalAttribute)
+        column = dataset.column(split.attribute)
         for value in attribute.values:
-            indices = [i for i, r in enumerate(dataset.records) if r[split.attribute] == value]
-            if indices:
+            indices = np.flatnonzero(column == value)
+            if indices.size:
                 children[value] = _build(dataset.subset(indices), config, class_order, depth + 1)
             else:
                 children[value] = Leaf(prediction=majority, counts={majority: 0})

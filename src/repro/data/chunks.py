@@ -1,7 +1,7 @@
 """Moving columnar batches between processes, and joining them back up.
 
 Every pipeline stage streams bounded-size
-:class:`~repro.data.columnar.ColumnarDataset` batches ("chunks") —
+:class:`~repro.data.dataset.Dataset` batches ("chunks") —
 generation (:meth:`AgrawalGenerator.iter_chunks
 <repro.data.agrawal.AgrawalGenerator.iter_chunks>`), encoding
 (:meth:`TupleEncoder.transform_matrix
@@ -20,7 +20,7 @@ holds what the batch type itself does not:
 * **Concatenation.**  :func:`concat_chunks` joins a chunk sequence with one
   ``np.concatenate`` per column.
 * :func:`codes_from_labels`, the label-string → class-code conversion
-  (defined next to the batch type, which needs it at construction).
+  (defined next to the dataset type, which needs it at construction).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.data.columnar import LABEL_CODE_DTYPE, ColumnarDataset, codes_from_labels
+from repro.data.dataset import LABEL_CODE_DTYPE, Dataset, codes_from_labels
 from repro.data.schema import Schema
 from repro.exceptions import SchemaError
 
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-def concat_chunks(chunks: Sequence[ColumnarDataset]) -> ColumnarDataset:
+def concat_chunks(chunks: Sequence[Dataset]) -> Dataset:
     """One dataset holding every row of ``chunks``, in order.
 
     One ``np.concatenate`` per column (and one for the label codes); the
@@ -78,7 +78,7 @@ def concat_chunks(chunks: Sequence[ColumnarDataset]) -> ColumnarDataset:
         raise SchemaError("cannot concatenate labelled and unlabelled datasets")
     else:
         codes = None
-    return ColumnarDataset(
+    return Dataset(
         head.schema, columns, codes, validate=False, classes=head.classes
     )
 
@@ -141,11 +141,11 @@ def _transport_dtype(column: np.ndarray, attribute_name: str) -> np.dtype:
     return column.dtype
 
 
-def chunk_to_shared(chunk: ColumnarDataset) -> SharedChunkMeta:
+def chunk_to_shared(chunk: Dataset) -> SharedChunkMeta:
     """Copy ``chunk`` into a fresh shared-memory segment.
 
     Returns the :class:`SharedChunkMeta` the *consumer* process turns back
-    into a :class:`ColumnarDataset` with :func:`chunk_from_shared`.  The
+    into a :class:`Dataset` with :func:`chunk_from_shared`.  The
     producer's segment handle is closed immediately — ownership (including
     the unlink) passes to the consumer.
     """
@@ -193,8 +193,8 @@ def chunk_to_shared(chunk: ColumnarDataset) -> SharedChunkMeta:
     return meta
 
 
-def chunk_from_shared(schema: Schema, meta: SharedChunkMeta) -> ColumnarDataset:
-    """Map a shared-memory segment back into a zero-copy :class:`ColumnarDataset`.
+def chunk_from_shared(schema: Schema, meta: SharedChunkMeta) -> Dataset:
+    """Map a shared-memory segment back into a zero-copy :class:`Dataset`.
 
     The returned chunk owns the segment: when the chunk (and every slice
     taken from it) is garbage-collected, the segment is closed and unlinked.
@@ -217,7 +217,7 @@ def chunk_from_shared(schema: Schema, meta: SharedChunkMeta) -> ColumnarDataset:
     if meta.labelled:
         dtype = np.dtype(meta.dtypes[len(names)])
         codes = np.ndarray((meta.n,), dtype=dtype, buffer=segment.buf, offset=offset)
-    return ColumnarDataset(
+    return Dataset(
         schema, columns, codes, validate=False, classes=meta.classes, owner=segment
     )
 
@@ -241,7 +241,7 @@ def _release_segment(name: str) -> None:
         pass
 
 
-def release_shared_chunk(chunk: ColumnarDataset) -> None:
+def release_shared_chunk(chunk: Dataset) -> None:
     """Explicitly release a shared-memory-backed chunk's segment.
 
     Optional — the finalizer installed by :func:`chunk_from_shared` releases

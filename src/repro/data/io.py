@@ -122,7 +122,7 @@ def load_csv(path: PathLike, schema: Schema, class_column: str = "class") -> Dat
         }
         records.append(record)
         labels.append(row[class_column])
-    return Dataset(schema, records, labels)
+    return Dataset.from_records(schema, records, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -359,4 +359,4 @@ def load_csv_with_inferred_schema(
         }
         records.append(record)
         labels.append(row[class_column])
-    return Dataset(schema, records, labels)
+    return Dataset.from_records(schema, records, labels)

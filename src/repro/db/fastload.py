@@ -53,10 +53,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.data.columnar import ColumnarDataset
+from repro.data.dataset import Dataset, column_dtype
 from repro.data.schema import Schema
 from repro.db.dialect import SQLITE, SqlDialect
-from repro.db.schema import schema_ddl, storage_dtype
+from repro.db.schema import schema_ddl
 from repro.exceptions import DatabaseError
 
 __all__ = ["RawLoadUnsupported", "RawSqliteWriter", "schema_supports_raw"]
@@ -92,7 +92,7 @@ def _varint_bytes(value: int) -> bytes:
 def schema_supports_raw(schema: Schema) -> bool:
     """Whether every attribute stores as a fixed-width numeric column."""
     for attribute in schema.attributes:
-        dtype = np.dtype(storage_dtype(attribute))
+        dtype = np.dtype(column_dtype(attribute))
         if dtype.kind not in "biuf":
             return False
     return all(
@@ -141,7 +141,7 @@ class RawSqliteWriter:
     def __len__(self) -> int:
         return self._n
 
-    def append(self, chunk: ColumnarDataset) -> None:
+    def append(self, chunk: Dataset) -> None:
         """Queue one labelled chunk (column references only, no copies)."""
         if chunk.schema.attribute_names != self.schema.attribute_names:
             raise DatabaseError(

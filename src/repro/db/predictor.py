@@ -31,7 +31,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING, Uni
 import numpy as np
 
 from repro import obs
-from repro.data.columnar import ColumnarDataset
 from repro.data.dataset import Dataset, Record
 from repro.data.schema import Schema
 from repro.db.dialect import SQLITE, SqlDialect
@@ -349,13 +348,10 @@ class SqlRulePredictor:
                 "SqlRulePredictor classifies records, not encoded matrices; "
                 "pass a dataset or a sequence of attribute mappings"
             )
-        if isinstance(data, ColumnarDataset):
+        if isinstance(data, Dataset):
             # tolist() already yields Python scalars; no per-value unwrap.
             return dataset_rows(data, include_label=False), len(data)
-        if isinstance(data, Dataset):
-            records: Sequence[Record] = data.records
-        else:
-            records = list(data)
+        records = list(data)
         missing_ok_rows = (
             tuple(self._row_value(record, name) for name in names)
             for record in records

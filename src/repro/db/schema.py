@@ -1,7 +1,7 @@
 """DDL derivation: from attribute schemas to ``CREATE TABLE`` statements.
 
-The mapping mirrors how the rest of the library types columns (see
-:func:`repro.data.columnar.columnar_from_records`):
+The mapping follows how the dataset types its columns (see
+:func:`repro.data.dataset.column_dtype`, which both sides share):
 
 * continuous attributes with the ``integer`` flag (``age``, ``hyears``) and
   categorical attributes over all-integer domains (``elevel``, ``car``,
@@ -20,32 +20,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.data.schema import Attribute, CategoricalAttribute, Schema
+from repro.data.dataset import column_dtype
+from repro.data.schema import Attribute, Schema
 from repro.db.dialect import SQLITE, SqlDialect
 from repro.exceptions import DatabaseError
-
-
-def storage_dtype(attribute: Attribute):
-    """NumPy dtype a stored column reads back as.
-
-    The single source of the schema → storage typing rule: the DDL
-    (:func:`column_type`) and the columnar read-back path
-    (:meth:`TupleStore.iter_chunks <repro.db.store.TupleStore.iter_chunks>`)
-    both derive from it, so write and read typing cannot drift.  Boolean
-    domains are stored as 0/1 integers and come back as ``bool`` so a
-    loaded ``True`` round-trips as ``True``, not ``1``.
-    """
-    if attribute.is_continuous:
-        return np.int64 if getattr(attribute, "integer", False) else float
-    assert isinstance(attribute, CategoricalAttribute)
-    if all(isinstance(value, bool) for value in attribute.values):
-        return np.bool_
-    if all(
-        isinstance(value, int) and not isinstance(value, bool)
-        for value in attribute.values
-    ):
-        return np.int64
-    return object
 
 
 def column_type(attribute: Attribute, dialect: SqlDialect = SQLITE) -> str:
@@ -56,7 +34,7 @@ def column_type(attribute: Attribute, dialect: SqlDialect = SQLITE) -> str:
     column — comparing an integer column to a boolean literal is a type
     error on PostgreSQL — while SQLite stores them as 0/1 integers.
     """
-    dtype = storage_dtype(attribute)
+    dtype = column_dtype(attribute)
     if dtype is object:
         return "TEXT"
     if dtype is float:

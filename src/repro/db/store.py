@@ -7,8 +7,8 @@ bounded slices, so a multi-million-tuple :meth:`AgrawalGenerator.iter_chunks
 <repro.data.agrawal.AgrawalGenerator.iter_chunks>` stream lands on disk
 without ever materialising in Python; reading back is symmetric —
 :meth:`TupleStore.iter_chunks` turns cursor pages back into
-:class:`~repro.data.columnar.ColumnarDataset` chunks for the NumPy inference
-path, and :meth:`TupleStore.iter_rows` yields per-record dicts for anything
+:class:`~repro.data.dataset.Dataset` chunks for the NumPy inference path,
+and :meth:`TupleStore.iter_rows` yields per-record dicts for anything
 record-oriented.
 
 Row order is insertion order throughout (every read is ``ORDER BY rowid``),
@@ -27,8 +27,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.data.columnar import ColumnarDataset, columnar_from_records
-from repro.data.dataset import Dataset, Record
+from repro.data.dataset import Dataset, Record, column_dtype
 from repro.data.schema import Schema
 from repro.db.dialect import SQLITE, SqlDialect
 from repro.db.fastload import (
@@ -42,7 +41,6 @@ from repro.db.schema import (
     insert_sql,
     label_index_ddl,
     schema_ddl,
-    storage_dtype,
 )
 from repro.exceptions import DatabaseError
 
@@ -59,24 +57,15 @@ DEFAULT_FETCH_SIZE = 50_000
 def dataset_rows(data: Dataset, include_label: bool = True) -> Iterator[Tuple]:
     """Driver-ready insertion rows of a dataset, in order.
 
-    Columnar datasets convert through ``tolist()`` (Python scalars — NumPy
-    types would otherwise leak into the driver) and zip the column lists
-    directly, never materialising per-record dicts;
-    record-backed datasets zip their existing dicts.  ``include_label=False``
+    Columns convert through ``tolist()`` (Python scalars — NumPy types would
+    otherwise leak into the driver) and the column lists are zipped
+    directly, never materialising per-record dicts.  ``include_label=False``
     yields attribute-only rows (the predictor's unlabelled staging tables).
     """
-    names = data.schema.attribute_names
-    if isinstance(data, ColumnarDataset):
-        lists = [data.column(name).tolist() for name in names]
-        if include_label:
-            return iter(zip(*lists, data.label_array().tolist()))
-        return iter(zip(*lists))
+    lists = [data.column(name).tolist() for name in data.schema.attribute_names]
     if include_label:
-        return (
-            tuple(record[name] for name in names) + (label,)
-            for record, label in zip(data.records, data.labels)
-        )
-    return (tuple(record[name] for name in names) for record in data.records)
+        return iter(zip(*lists, data.label_array().tolist()))
+    return iter(zip(*lists))
 
 
 def insert_in_batches(
@@ -257,9 +246,8 @@ class TupleStore:
     ) -> int:
         """Bulk-load a dataset — or a stream of them — and return the count.
 
-        Accepts a :class:`~repro.data.dataset.Dataset` (columnar or
-        record-backed), or any iterable of them (e.g. the chunk stream of
-        ``AgrawalGenerator.iter_chunks(...)``).
+        Accepts a :class:`~repro.data.dataset.Dataset`, or any iterable of
+        them (e.g. the chunk stream of ``AgrawalGenerator.iter_chunks(...)``).
 
         ``method`` selects the write path:
 
@@ -274,10 +262,11 @@ class TupleStore:
           from :meth:`create`) are re-created afterwards from their recorded
           DDL.  Raises :class:`~repro.db.fastload.RawLoadUnsupported` when
           the shape is out of scope.
-        * ``"auto"`` (default) — ``"raw"`` when the input is columnar and
-          the store qualifies, ``"rows"`` otherwise; shapes the raw lane
-          rejects late (e.g. a load crossing the 1GiB lock-byte page) fall
-          back to ``"rows"`` transparently.
+        * ``"auto"`` (default) — ``"raw"`` when the store qualifies,
+          ``"rows"`` otherwise; shapes the raw lane rejects (an object
+          column, a load crossing the 1GiB lock-byte page) fall back to
+          ``"rows"`` transparently, the rejected chunk and the rest of the
+          stream included.
         """
         if batch_size <= 0:
             raise DatabaseError(f"batch size must be positive, got {batch_size}")
@@ -296,11 +285,7 @@ class TupleStore:
                 self._require_table()
             return 0
         chunks = itertools.chain((first,), stream)
-        raw = method == "raw" or (
-            method == "auto"
-            and isinstance(first, ColumnarDataset)
-            and self._raw_eligible()
-        )
+        raw = method == "raw" or (method == "auto" and self._raw_eligible())
         # The span drives the whole consume-and-write loop, so with a lazy
         # input stream it is wall attribution of the store stage (upstream
         # production nests inside it as its own spans).
@@ -394,7 +379,8 @@ class TupleStore:
         writer = RawSqliteWriter(
             self.path, self.schema, self.table, self.class_column, self.dialect
         )
-        staged: List[ColumnarDataset] = []
+        staged: List[Dataset] = []
+        chunks = iter(chunks)
         try:
             for chunk in chunks:
                 if not isinstance(chunk, Dataset):
@@ -402,16 +388,14 @@ class TupleStore:
                         "load() expects a Dataset or an iterable of them, "
                         f"got a chunk of type {type(chunk).__name__}"
                     )
-                if not isinstance(chunk, ColumnarDataset):
-                    chunk = columnar_from_records(
-                        chunk.schema, chunk.records, chunk.labels, validate=False
-                    )
-                writer.append(chunk)
                 staged.append(chunk)
+                writer.append(chunk)
         except RawLoadUnsupported:
             if not fallback:
                 raise
-            return self._load_rows(staged, batch_size)
+            # The rejected chunk is already staged; the rest of the stream
+            # follows it down the driver path.
+            return self._load_rows(itertools.chain(staged, chunks), batch_size)
         with self.lock:
             try:
                 index_ddls = [
@@ -580,20 +564,20 @@ class TupleStore:
 
     def iter_chunks(
         self, chunk_size: int = DEFAULT_FETCH_SIZE
-    ) -> Iterator[ColumnarDataset]:
+    ) -> Iterator[Dataset]:
         """Stream the relation back out as bounded columnar chunks.
 
         The inverse of :meth:`load`: each page becomes a
-        :class:`ColumnarDataset` (storage dtypes shared with the DDL via
-        :func:`~repro.db.schema.storage_dtype`, ``validate=False`` — the
-        data was validated on the way in), so the NumPy inference path can
-        classify straight off the store without per-record dicts.
+        :class:`~repro.data.dataset.Dataset` (column dtypes shared with the
+        DDL via :func:`~repro.data.dataset.column_dtype`, ``validate=False``
+        — the data was validated on the way in), so the NumPy inference path
+        can classify straight off the store without per-record dicts.
         """
         if chunk_size <= 0:
             raise DatabaseError(f"chunk size must be positive, got {chunk_size}")
         names = self.schema.attribute_names
         dtypes = {
-            attribute.name: storage_dtype(attribute)
+            attribute.name: column_dtype(attribute)
             for attribute in self.schema.attributes
         }
         for page in self._iter_pages(chunk_size):
@@ -602,5 +586,5 @@ class TupleStore:
                 name: np.asarray(transposed[i + 1], dtype=dtypes[name])
                 for i, name in enumerate(names)
             }
-            yield ColumnarDataset(self.schema, columns, transposed[-1], validate=False)
+            yield Dataset(self.schema, columns, transposed[-1], validate=False)
 

@@ -2,9 +2,8 @@
 """The chunk-fabric pipeline: generate → classify → store on one machine.
 
 :func:`run_pipeline` wires the three data-plane stages of the reproduction
-together over one columnar batch type,
-:class:`~repro.data.columnar.ColumnarDataset`, with zero-copy hand-offs at
-every boundary:
+together over one columnar batch type, :class:`~repro.data.dataset.Dataset`,
+with zero-copy hand-offs at every boundary:
 
 * **generate** — :meth:`AgrawalGenerator.iter_chunks
   <repro.data.agrawal.AgrawalGenerator.iter_chunks>` emits columnar chunks
@@ -44,7 +43,7 @@ from typing import Dict, Iterable, Iterator, Optional
 
 from repro import obs
 from repro.data.agrawal import AgrawalGenerator
-from repro.data.columnar import ColumnarDataset
+from repro.data.dataset import Dataset
 from repro.db.store import TupleStore
 from repro.exceptions import ReproError
 from repro.serving.models import KIND_RULES, ServableModel
@@ -113,7 +112,7 @@ class _StageTimer:
         self.seconds = 0.0
         self.span_name = span_name
 
-    def wrap(self, chunks: Iterable[ColumnarDataset]) -> Iterator[ColumnarDataset]:
+    def wrap(self, chunks: Iterable[Dataset]) -> Iterator[Dataset]:
         iterator = iter(chunks)
         index = 0
         while True:

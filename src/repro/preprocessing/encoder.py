@@ -19,12 +19,11 @@ Two constructors matter in practice:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.data.agrawal import agrawal_schema
-from repro.data.columnar import ColumnarDataset
 from repro.data.dataset import Dataset, Record
 from repro.data.schema import (
     CategoricalAttribute,
@@ -42,6 +41,18 @@ from repro.preprocessing.onehot import OneHotEncoder
 from repro.preprocessing.thermometer import OrdinalThermometerEncoder, ThermometerEncoder
 
 AttributeEncoder = Union[ThermometerEncoder, OrdinalThermometerEncoder, OneHotEncoder]
+
+
+def _record_column_reader(records: Sequence[Record]) -> Callable[[str], list]:
+    """``name -> [record[name] for record in records]``, with a clear error."""
+
+    def column(name: str) -> list:
+        try:
+            return [record[name] for record in records]
+        except KeyError as exc:
+            raise EncodingError(f"record missing attribute {name!r}") from exc
+
+    return column
 
 
 class TupleEncoder:
@@ -97,12 +108,12 @@ class TupleEncoder:
         """Vectorised encoding of a whole batch into an ``(n, n_inputs)`` matrix.
 
         This is the single batch entry point of the inference pipeline: it
-        accepts a :class:`~repro.data.dataset.Dataset` (columnar or
-        record-backed) or a plain sequence of records and encodes column by
-        column using the cached column layout
+        accepts a :class:`~repro.data.dataset.Dataset` or a plain sequence of
+        records and encodes column by column using the cached column layout
         (``group_slice`` per attribute plus each per-attribute encoder's
-        precomputed threshold/position tables), never touching records one at
-        a time.
+        precomputed threshold/position tables).  A dataset's stored column
+        arrays feed the per-attribute encoders directly; no per-record dict
+        is ever built for the encode.
         """
         if isinstance(data, Dataset):
             if data.schema.attribute_names != self.schema.attribute_names:
@@ -110,32 +121,17 @@ class TupleEncoder:
                     "dataset schema does not match the encoder schema: "
                     f"{data.schema.attribute_names} vs {self.schema.attribute_names}"
                 )
-            if isinstance(data, ColumnarDataset):
-                # Columnar fast path: feed the stored column arrays straight
-                # to the per-attribute encoders; no per-record dict is ever
-                # built for the encode.
-                out = np.zeros((len(data), self.n_inputs), dtype=float)
-                if not len(data):
-                    return out
-                for attribute in self.schema.attributes:
-                    encoder = self.encoders[attribute.name]
-                    out[:, self._group_slices[attribute.name]] = encoder.encode_column(
-                        data.column(attribute.name)
-                    )
-                return out
-            records: Sequence[Record] = data.records
+            column_of = data.column
         else:
-            records = data
-        out = np.zeros((len(records), self.n_inputs), dtype=float)
-        if not len(records):
+            column_of = _record_column_reader(data)
+        out = np.zeros((len(data), self.n_inputs), dtype=float)
+        if not len(data):
             return out
         for attribute in self.schema.attributes:
             encoder = self.encoders[attribute.name]
-            try:
-                column = [r[attribute.name] for r in records]
-            except KeyError as exc:
-                raise EncodingError(f"record missing attribute {attribute.name!r}") from exc
-            out[:, self._group_slices[attribute.name]] = encoder.encode_column(column)
+            out[:, self._group_slices[attribute.name]] = encoder.encode_column(
+                column_of(attribute.name)
+            )
         return out
 
     def encode_dataset(self, dataset: Dataset) -> np.ndarray:
@@ -284,7 +280,7 @@ def default_encoder(
         if isinstance(attribute, ContinuousAttribute):
             values = None
             if dataset is not None:
-                values = [float(r[attribute.name]) for r in dataset.records]
+                values = dataset.attribute_column(attribute.name)
             partition = discretizer.partition(attribute, values)
             encoders[attribute.name] = ThermometerEncoder(attribute, partition)
         else:

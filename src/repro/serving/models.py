@@ -23,8 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.columnar import ColumnarDataset
-from repro.data.dataset import Record
+from repro.data.dataset import Dataset, Record
 from repro.exceptions import ServingError
 from repro.inference.predictor import indices_from_labels
 from repro.preprocessing.encoder import TupleEncoder
@@ -104,7 +103,7 @@ class ServableModel:
         return self.predictor.predict_batch(list(records))
 
     def predict_codes(
-        self, chunk: ColumnarDataset
+        self, chunk: Dataset
     ) -> Tuple[np.ndarray, Tuple[str, ...]]:
         """Class-*index* predictions for a columnar chunk.
 

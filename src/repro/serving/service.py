@@ -35,7 +35,6 @@ from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tu
 import numpy as np
 
 from repro import obs
-from repro.data.columnar import ColumnarDataset
 from repro.data.dataset import Dataset, Record
 from repro.exceptions import ServingError
 from repro.obs.clock import monotonic
@@ -295,7 +294,7 @@ class PredictionService:
     # -- chunk fabric ---------------------------------------------------------
 
     def submit_chunk(
-        self, model_name: str, chunk: ColumnarDataset
+        self, model_name: str, chunk: Dataset
     ) -> "Future[Tuple[np.ndarray, Tuple[str, ...]]]":
         """Queue one columnar chunk; resolves to ``(label_codes, classes)``.
 
@@ -317,9 +316,9 @@ class PredictionService:
     def predict_chunks(
         self,
         model_name: str,
-        chunks: Iterable[ColumnarDataset],
+        chunks: Iterable[Dataset],
         window: Optional[int] = None,
-    ) -> Iterator[ColumnarDataset]:
+    ) -> Iterator[Dataset]:
         """Classify a chunk stream, yielding *labelled* chunks in order.
 
         The chunk-fabric counterpart of :meth:`predict_stream_batches`: each
@@ -334,7 +333,7 @@ class PredictionService:
         if window < 1:
             raise ServingError(f"chunk window must be >= 1, got {window}")
         in_flight: Deque[
-            Tuple[ColumnarDataset, "Future[Tuple[np.ndarray, Tuple[str, ...]]]"]
+            Tuple[Dataset, "Future[Tuple[np.ndarray, Tuple[str, ...]]]"]
         ] = deque()
         for chunk in chunks:
             in_flight.append((chunk, self.submit_chunk(model_name, chunk)))
@@ -351,7 +350,7 @@ class PredictionService:
         self,
         model_name: str,
         model: ServableModel,
-        chunk: ColumnarDataset,
+        chunk: Dataset,
         future: "Future[Tuple[np.ndarray, Tuple[str, ...]]]",
     ) -> None:
         with obs.trace("serve.chunk", model=model_name, rows=len(chunk)) as span:
@@ -376,7 +375,7 @@ class PredictionService:
     def _stream_chunk_labels(
         self,
         model_name: str,
-        chunks: Iterable[ColumnarDataset],
+        chunks: Iterable[Dataset],
         window: Optional[int],
     ) -> Iterator[np.ndarray]:
         """Label arrays for a chunk stream (strings materialised per batch)."""
@@ -386,14 +385,14 @@ class PredictionService:
     def predict_stream_batches(
         self,
         model_name: str,
-        records: Union[Iterable[Record], Iterable[ColumnarDataset], Dataset],
+        records: Union[Iterable[Record], Iterable[Dataset], Dataset],
         window: Optional[int] = None,
         chunk_size: Optional[int] = None,
     ) -> Iterator[np.ndarray]:
         """Classify a record stream, yielding label arrays in submission order.
 
-        Columnar inputs — a :class:`~repro.data.columnar.ColumnarDataset` or
-        an iterable of them — are routed through the chunk fabric
+        Columnar inputs — a :class:`~repro.data.dataset.Dataset` or an
+        iterable of them — are routed through the chunk fabric
         (:meth:`predict_chunks`): no per-record dicts are built, labels
         travel as index arrays, and each yielded array covers one chunk.
         ``window`` then counts in-flight *chunks* (default ``workers + 2``).
@@ -408,29 +407,25 @@ class PredictionService:
         records; concatenated, the arrays reproduce the input order exactly,
         regardless of how the thread pool interleaves batch completions.
         """
-        if isinstance(records, ColumnarDataset):
+        if isinstance(records, Dataset):
             return self._stream_chunk_labels(model_name, (records,), window)
-        if not isinstance(records, Dataset):
-            iterator = iter(records)
-            head = next(iterator, None)
-            if head is None:
-                return iter(())
-            items = chain((head,), iterator)
-            if isinstance(head, ColumnarDataset):
-                return self._stream_chunk_labels(model_name, items, window)
-            records = items
-        return self._predict_stream_records(model_name, records, window, chunk_size)
+        iterator = iter(records)
+        head = next(iterator, None)
+        if head is None:
+            return iter(())
+        items = chain((head,), iterator)
+        if isinstance(head, Dataset):
+            return self._stream_chunk_labels(model_name, items, window)
+        return self._predict_stream_records(model_name, items, window, chunk_size)
 
     def _predict_stream_records(
         self,
         model_name: str,
-        records: Union[Iterable[Record], Dataset],
+        records: Iterable[Record],
         window: Optional[int] = None,
         chunk_size: Optional[int] = None,
     ) -> Iterator[np.ndarray]:
         """The micro-batching dict-record path of :meth:`predict_stream_batches`."""
-        if isinstance(records, Dataset):
-            records = records.records
         if window is None:
             window = self.config.effective_stream_window
         if window < 1:

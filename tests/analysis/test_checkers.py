@@ -169,10 +169,10 @@ def test_hot_path_chunk_fabric_modules_are_declared_hot(analyze_snippet):
 
 
 def test_hot_path_columnar_batch_type_is_declared_hot(analyze_snippet):
-    # ColumnarDataset is the one batch type every fabric stage hands on, so
-    # its module is hot by path like the rest of the fabric.
+    # Dataset is the one batch type every fabric stage hands on, so its
+    # module is hot by path like the rest of the fabric.
     report = analyze_snippet(
-        "repro/data/columnar.py",
+        "repro/data/dataset.py",
         """\
             def run(model, records):
                 labels = []

@@ -16,7 +16,7 @@ from repro.data.chunks import (
     chunk_to_shared,
     release_shared_chunk,
 )
-from repro.data.columnar import ColumnarDataset
+from repro.data.dataset import Dataset
 from repro.data.schema import CategoricalAttribute, ContinuousAttribute, Schema
 from repro.exceptions import SchemaError
 
@@ -79,7 +79,7 @@ class TestSharedMemoryTransport:
         )
         column = np.empty(2, dtype=object)
         column[:] = ["x", "y"]
-        chunk = ColumnarDataset(schema, {"kind": column})
+        chunk = Dataset(schema, {"kind": column})
         with pytest.raises(SchemaError, match="shared memory"):
             chunk_to_shared(chunk)
 
@@ -93,7 +93,7 @@ class TestBooleanColumns:
             ],
             classes=("A", "B"),
         )
-        chunk = ColumnarDataset(
+        chunk = Dataset(
             schema,
             {
                 "x": np.array([1.0, 2.0]),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.agrawal import AgrawalGenerator, agrawal_schema
-from repro.data.columnar import ColumnarDataset
+from repro.data.dataset import Dataset
 from repro.data.schema import CategoricalAttribute, ContinuousAttribute, Schema
 from repro.db.fastload import RawLoadUnsupported, RawSqliteWriter, schema_supports_raw
 from repro.db.store import TupleStore
@@ -65,6 +65,25 @@ class TestEligibility:
             store.load(iter(chunks))
             store.load(iter(chunks))  # auto: falls back to driver rows
             assert store.count() == 1000
+
+    def test_auto_fallback_mid_stream_keeps_every_chunk(self, tmp_path):
+        """Regression: a chunk the raw writer rejected part-way through a
+        stream (an object column) was dropped on the fallback to driver
+        rows, and so was every chunk after it."""
+        schema = Schema(
+            attributes=[ContinuousAttribute("x", 0.0, 10.0)], classes=("A", "B")
+        )
+
+        def chunk(values, dtype=float):
+            return Dataset(schema, {"x": np.array(values, dtype=dtype)}, ["A"] * len(values))
+
+        stream = [chunk([1.0, 2.0]), chunk([3.0], dtype=object), chunk([4.0, 5.0])]
+        with TupleStore(schema, path=tmp_path / "t.db") as store:
+            store.create()
+            assert store.load(iter(stream)) == 5
+            assert [record["x"] for record, _ in store.iter_rows()] == [
+                1.0, 2.0, 3.0, 4.0, 5.0
+            ]
 
 
 class TestRawEqualsRows:
@@ -144,7 +163,7 @@ class TestWriterDirect:
         other = Schema(
             attributes=[ContinuousAttribute("x", 0.0, 1.0)], classes=("A", "B")
         )
-        chunk = ColumnarDataset(other, {"x": np.array([0.5])}, np.array([0]))
+        chunk = Dataset(other, {"x": np.array([0.5])}, np.array([0]))
         with pytest.raises(DatabaseError):
             writer.append(chunk)
 

@@ -116,7 +116,9 @@ class TestEquivalenceAllFunctions:
         with SqlRulePredictor(ruleset, schema=schema) as predictor:
             from_dataset = predictor.predict_batch(data)
             from_records = predictor.predict_batch(list(data.records))
-            from_record_dataset = predictor.predict_batch(data.to_dataset())
+            from_record_dataset = predictor.predict_batch(
+                Dataset.from_records(data.schema, data.records, data.labels)
+            )
         assert from_dataset.tolist() == from_records.tolist()
         assert from_dataset.tolist() == from_record_dataset.tolist()
 
